@@ -182,13 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="disable the abstract-interpretation layer "
                          "(screen + path pruning) for A/B runs")
     ap.add_argument("--no-fwdbwd", action="store_true",
-                    help="disable the forward-backward unknowns analysis "
-                         "(static clause seeding + linear constraint "
-                         "screen) for A/B runs")
-    ap.add_argument("--no-regions", action="store_true",
-                    help="disable the array-region / loop-bound analysis "
-                         "(guided axiom instantiation, replay-failure "
-                         "downgrades, inferred path budgets) for A/B runs")
+                    help="disable the forward-backward linear "
+                         "constraint screen for A/B runs")
     ap.add_argument("--budget", default=None, metavar="SPEC",
                     help="resource budget, e.g. 'wall=30;smt=5000' "
                          "(see repro.resil.parse_budget_spec); overrides "
@@ -271,7 +266,7 @@ def main() -> int:
         if budget is None and not args.no_program_budgets:
             # Profile budget plus the inferred never-firing paths=
             # ceiling (hand paths= values win; see suite.resolved_budget).
-            budget = resolved_budget(name, regions=not args.no_regions)
+            budget = resolved_budget(name)
         config = PinsConfig(m=args.m, max_iterations=args.iters,
                             seed=args.seed, jobs=args.jobs,
                             workers=args.workers,
@@ -279,7 +274,6 @@ def main() -> int:
                             absint=False if args.no_absint else None,
                             fwdbwd=False if args.no_fwdbwd else None,
                             incremental=False if args.no_incremental else None,
-                            regions=False if args.no_regions else None,
                             budget=budget, faults=args.faults)
         t0 = time.time()
         result = run_pins(task, config)

@@ -14,9 +14,9 @@ Pipeline consumers on top of this package:
   abstract saturation before any full SMT check (DESIGN.md §11), and
   through the linear fold / Fourier–Motzkin engine
   (:mod:`repro.analysis.linear`, DESIGN.md §13);
-* :func:`repro.analysis.fwdbwd.analyze_unknowns` statically refutes
-  hole candidates (and candidate pairs) before CDCL, seeding
-  ``pins.solve`` with unit clauses (DESIGN.md §13);
+* the bench harness appends :mod:`repro.analysis.regions`' inferred
+  syntactic path ceiling as a never-firing ``paths=`` budget
+  (DESIGN.md §15);
 * :mod:`repro.analysis.certify` proves the ``P ; P⁻¹`` identity over
   bounded input boxes, and ``validate.roundtrip`` rides it along as a
   pre-check;
@@ -24,8 +24,11 @@ Pipeline consumers on top of this package:
   :class:`~repro.analysis.diagnostics.Diagnostic` objects when a
   template provably cannot write an output the identity spec requires.
 
-``python -m repro.analysis`` (linting, ``certify``, ``unknowns``) and
-``scripts/lint_suite.py`` expose the tools on the command line.
+``python -m repro.analysis`` (linting, ``certify``, ``unknowns``,
+``regions``) and ``scripts/lint_suite.py`` expose the tools on the
+command line; the forward-backward unknowns analysis
+(:func:`repro.analysis.fwdbwd.analyze_unknowns`) runs there and in
+:func:`repro.analysis.lint.lint_unknowns`, never inside ``run_pins``.
 """
 
 from .absint import (
@@ -74,7 +77,6 @@ from .fwdbwd import (
     analyze_unknowns,
     fold_goal,
     fwdbwd_enabled,
-    sample_state,
 )
 from .linear import Affine, LinearRefuter, affine_expr, affine_pred, linear_unsat
 from .lint import (check_writable_outputs, lint_program, lint_template,

@@ -16,11 +16,11 @@ Two modes:
   forward-backward unknowns analysis on suite templates and report each
   hole's feasible candidate set plus any static unit/pair refutations.
   Exit status 1 when a hole's candidate family is statically empty.
-* ``python -m repro.analysis regions [names...]`` — run the array-region
-  and loop-bound analysis on suite tasks and report per-loop ranking
-  bounds, per-array index footprints, axiom-derived cell value ranges,
-  the syntactic path count, and hand-vs-inferred path budgets.  Exit
-  status 1 when any ``stale-profile-budget`` lint fires.
+* ``python -m repro.analysis regions [names...]`` — run the loop-bound
+  analysis on suite tasks and report per-loop ranking bounds,
+  axiom-derived cell value ranges, the syntactic path count, and
+  hand-vs-inferred path budgets.  Exit status 1 when any
+  ``stale-profile-budget`` lint fires.
 """
 
 from __future__ import annotations
@@ -144,9 +144,8 @@ def regions_main(argv: List[str]) -> int:
 
     ap = argparse.ArgumentParser(
         prog="python -m repro.analysis regions",
-        description="Array-region and loop-bound analysis: per-loop "
-                    "ranking bounds, per-array index footprints, value "
-                    "ranges, syntactic path counts, and the "
+        description="Loop-bound analysis: per-loop ranking bounds, "
+                    "value ranges, syntactic path counts, and the "
                     "hand-vs-inferred path-budget lint.")
     ap.add_argument("names", nargs="*",
                     help="benchmark names (default: the whole suite)")

@@ -4,7 +4,7 @@ PINS enumerates a finite candidate family per hole and asks SAT/SMT about
 every combination the CDCL loop proposes.  Following Yoon-Lee-Yi
 ("Inductive Program Synthesis via Iterative Forward-Backward Abstract
 Interpretation"), this module derives *necessary conditions on the
-unknowns themselves* before any solver work:
+unknowns themselves*:
 
 * :func:`analyze_unknowns` — the static pass.  A
   :class:`~repro.analysis.absint.ForwardAnalyzer` run over the forward
@@ -18,29 +18,25 @@ unknowns themselves* before any solver work:
   a fixpoint, and pairs of candidates at distinct holes are refined
   against each other (fixing one hole's candidate and re-running the
   forward pass), producing a per-hole feasible set plus refuted
-  (hole, candidate) units and pairs that ``solve`` blocks as SAT clauses
-  before CDCL ever runs.
-
-* :func:`sample_state` — constraint-directed concretization.  Where the
-  plain witness sampler picks every variable independently (and dies on
-  relational guards like ``mp < m``), this one re-saturates the predicate
-  list after each pick so earlier choices propagate into later ranges.
-  The checker uses it to turn refined abstract states on goal
-  (termination/invariant) constraints into concrete refutation witnesses.
+  (hole, candidate) units and pairs.  It is a lint and CLI tool
+  (:func:`repro.analysis.lint.lint_unknowns`, ``python -m repro.analysis
+  unknowns``), not part of ``run_pins``: on the suite's permissive
+  templates it refutes nothing.
 
 * :func:`fold_goal` — backward symbolic composition of a constraint's SSA
   definitions into linear forms (:mod:`repro.analysis.fold`), deciding
   goals like ``rank^V < rank^0`` without the solver whenever the rank
-  delta folds to a constant.
+  delta folds to a constant.  The checker's linear screen
+  (:meth:`repro.pins.checker.ConstraintChecker.fwdbwd_screen`) uses it.
 
 Soundness: unit/pair refutations are only emitted for holes assigned at
 *top-level* template sites (executed on every run), where "every value the
 candidate can produce lies outside the necessary set" proves every
-execution under that choice misses the spec; witnesses are validated by
-concrete replay; linear folds hold for all valuations of their bases.
+execution under that choice misses the spec; linear folds hold for all
+valuations of their bases.
 
-The pass sits behind the standard switch cascade: explicit override,
-else ``REPRO_FWDBWD``, else follow the absint switch.
+The linear screen sits behind the standard switch cascade: explicit
+override, else ``REPRO_FWDBWD``, else follow the absint switch.
 """
 
 from __future__ import annotations
@@ -52,7 +48,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from ..lang import ast
 from ..lang.ast import Assign, Expr, GIf, GWhile, Pred, Seq, Sort, Stmt
 from .absint import (AbsEnv, BackwardAnalyzer, ForwardAnalyzer, absint_enabled,
-                     eval_expr, refine_expr, refine_pred, saturate)
+                     eval_expr, refine_expr, refine_pred)
 from .domains import AbsVal
 
 ENV_FLAG = "REPRO_FWDBWD"
@@ -69,73 +65,6 @@ def fwdbwd_enabled(override: Optional[bool] = None,
     if raw is not None:
         return raw.strip().lower() not in ("0", "false", "off")
     return absint_enabled(absint)
-
-
-# ---------------------------------------------------------------------------
-# Constraint-directed concretization (witness sampling)
-# ---------------------------------------------------------------------------
-
-
-def _pick_candidates(val: AbsVal, limit: int) -> List[int]:
-    """Representative concrete values of ``val``, most-likely-first."""
-    c = val.as_const()
-    if c is not None:
-        return [c]
-    iv = val.interval
-    cong = val.congruence
-    raw: List[int] = []
-    if iv.contains(0):
-        raw.append(0)
-    if iv.lo is not None:
-        raw.extend([iv.lo, iv.lo + 1])
-    if iv.hi is not None:
-        raw.extend([iv.hi, iv.hi - 1])
-    if not raw:
-        raw.append(0)
-    out: List[int] = []
-    for pick in raw:
-        if not val.contains(pick) and cong.modulus > 0:
-            # Snap onto the congruence class, toward the interval interior.
-            up = pick + (cong.rem - pick) % cong.modulus
-            down = pick - (pick - cong.rem) % cong.modulus
-            pick = up if val.contains(up) else down
-        if val.contains(pick) and pick not in out:
-            out.append(pick)
-        if len(out) >= limit:
-            break
-    return out
-
-
-def sample_state(preds: Sequence[Pred], sorts: Mapping[str, Sort],
-                 rounds: int = 3, alternates: int = 3
-                 ) -> Optional[Dict[str, int]]:
-    """Concretize the version-0 integer variables of a saturated state.
-
-    Picks one value per variable (deterministic order), *meeting each
-    pick back into the environment and re-saturating* before the next, so
-    relational facts (``mp < m``) steer later picks instead of breaking
-    the sample.  Returns ``{base_name: int}`` or None when the predicate
-    list is abstractly unsatisfiable.  The sample is a heuristic — it
-    must be validated by concrete replay before being used as a witness.
-    """
-    env = saturate(preds, sorts, rounds=rounds)
-    if env is None:
-        return None
-    picks: Dict[str, int] = {}
-    for name in sorted(n for n, s in sorts.items() if s is Sort.INT):
-        key = f"{name}#0"
-        options = _pick_candidates(env.get(key), alternates)
-        chosen = options[0]
-        for option in options:
-            refined = saturate(preds, sorts,
-                               env=env.set(key, AbsVal.const(option)),
-                               rounds=1)
-            if refined is not None:
-                env = refined
-                chosen = option
-                break
-        picks[name] = chosen
-    return picks
 
 
 # ---------------------------------------------------------------------------
@@ -217,37 +146,20 @@ class FeasibleSet:
 
 @dataclass
 class FwdBwdReport:
-    """Everything the consumers need from one static analysis run."""
+    """Per-hole feasible sets and refutations from one analysis run."""
 
     program: str
     iterations: int
     boundary: str
     feasible: Dict[str, FeasibleSet] = field(default_factory=dict)
     pairs: Tuple[PairRefutation, ...] = ()
-    refuted_exprs: Dict[str, Tuple[Expr, ...]] = field(default_factory=dict)
 
     @property
     def units_refuted(self) -> int:
         return sum(len(fs.refuted) for fs in self.feasible.values())
 
-    def refuted_units(self) -> List[Tuple[str, int]]:
-        """(hole, candidate-index) pairs safe to block as unit clauses."""
-        return [(fs.hole, r.index)
-                for fs in self.feasible.values() if fs.kind == "expr"
-                for r in fs.refuted]
-
-    def refuted_pairs(self) -> List[Tuple[Tuple[str, int], Tuple[str, int]]]:
-        return [(p.first, p.second) for p in self.pairs]
-
     def empty_holes(self) -> List[str]:
         return sorted(fs.hole for fs in self.feasible.values() if fs.empty)
-
-    def allows(self, solution) -> bool:
-        """False when the solution picks a statically refuted candidate."""
-        for name, expr in solution.exprs:
-            if expr in self.refuted_exprs.get(name, ()):
-                return False
-        return True
 
     def describe(self) -> str:
         lines = [f"{self.program}: boundary {self.boundary} "
@@ -506,9 +418,6 @@ def analyze_unknowns(program: ast.Program, inverse: ast.Program,
         report.feasible[name] = FeasibleSet(
             name, "expr", len(cands), tuple(feasible[name]),
             tuple(refuted[name]))
-        if refuted[name]:
-            report.refuted_exprs[name] = tuple(
-                expr_cands[name][r.index] for r in refuted[name])
     for name, cands in pred_cands.items():
         report.feasible[name] = FeasibleSet(
             name, "pred", len(cands), tuple(feasible[name]),

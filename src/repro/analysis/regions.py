@@ -1,6 +1,6 @@
-"""Array-region and loop-bound analysis over the Fig. 2 IR.
+"""Loop-bound and path-count analysis over the Fig. 2 IR.
 
-Two static facts per task, computed from the desugared composed program
+Static facts per task, computed from the desugared composed program
 ``P ; P⁻¹`` before any solver work:
 
 * **Loop bounds** — for every loop with a ground comparison guard, a
@@ -10,58 +10,32 @@ Two static facts per task, computed from the desugared composed program
   forms.  A verified constant decrease certifies the loop terminates and
   bounds its trip count symbolically (``⌈(rank₀+1)/d⌉``).
 
-* **Array footprints** — per array, the interval × congruence region
-  (:mod:`repro.analysis.domains` reduced product) covering every read
-  and write index the program can reach, recorded by a
-  :class:`~repro.analysis.absint.ForwardAnalyzer` subclass that joins the
-  abstract value of each ``sel``/``upd`` index across all abstract
-  visits (Kleene iterates included, so the join over-approximates every
-  concrete access).
+* **Path counts** — :func:`path_count` counts the syntactic paths of the
+  composed program at the task's unroll bound.
 
-Three consumers (DESIGN.md §15):
+* **Value ranges** — :func:`value_ranges_from_axioms` recovers per-array
+  cell ranges from the task's input range axioms; the constraint checker
+  uses them to complete array witnesses with in-range default cells.
 
-1. *Guided axiom instantiation* — arrays whose reachable index region is
-   finite yield a per-array index list (:meth:`RegionReport.guided_indices`)
-   that :class:`repro.smt.solver.Solver` instantiates single-select-pattern
-   axioms over, closing the trigger E-matching gap so SAT models are
-   replay-complete.  The checker additionally downgrades VIOLATED answers
-   whose model cannot be replayed concretely (axiom-incomplete extern
-   tables) to optimistic UNKNOWNs.
-2. *Inferred path budgets* — :func:`inferred_path_budget` counts the
-   syntactic paths of the composed program at the task's unroll bound; the
-   bench harness appends it as a ``paths=`` budget when the hand profile
-   has none.  Because the symbolic executor returns each syntactic path at
-   most once, the inferred budget can never fire — it is a pure safety
-   net, and hand values stay as overrides (linted by
-   :func:`lint_profile_budget` when they exceed the ceiling).
-3. *Out-of-region refutation* — :func:`refute_out_of_region` blocks hole
-   candidates whose constant select index provably exits every allocated
-   region (e.g. a negative index against 0-based arrays), seeded as unit
-   clauses into the CDCL session exactly like the fwdbwd refutations.
-
-The pass sits behind the standard switch cascade: explicit override,
-else ``REPRO_REGIONS``, else follow the fwdbwd switch (which itself
-follows absint, then static pruning).
+Consumers (DESIGN.md §15): :func:`inferred_path_budget` turns the path
+count into a ``paths=`` bench budget when the hand profile has none.
+Because the symbolic executor returns each syntactic path at most once,
+the inferred budget can never fire — it is a pure safety net, and hand
+values stay as overrides (linted by :func:`lint_profile_budget` when
+they exceed the ceiling).  ``python -m repro.analysis regions`` prints
+the whole report.  No pass here runs inside ``run_pins``.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
-from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence,
-                    Tuple, Union)
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..lang import ast
-from ..lang.ast import (Assign, Assume, Expr, GIf, GWhile, Pred, Select, Sort,
-                        Stmt, Update, Var, While)
+from ..lang.ast import Assign, Assume, Expr, Sort, Stmt, While
 from ..lang.transform import version_expr
-from .absint import AbsEnv, ForwardAnalyzer, absint_enabled, eval_expr
 from .diagnostics import WARNING, Diagnostic
-from .domains import AbsVal, Congruence, Interval
 from .linear import Affine, affine_expr
-
-ENV_FLAG = "REPRO_REGIONS"
 
 STALE_PROFILE_BUDGET = "stale-profile-budget"
 """Diagnostic code: a hand-tuned ``paths=`` bench budget exceeds the
@@ -71,110 +45,6 @@ PATH_COUNT_CAP = 100_000
 """Largest syntactic path count worth writing into a ``paths=`` budget;
 counts above it are still reported by the analysis but not inferred as
 budgets (a never-firing limit that large is pure noise)."""
-
-GUIDED_REGION_CAP = 32
-"""Largest finite index region expanded into guided axiom instances."""
-
-
-def regions_enabled(override: Optional[bool] = None,
-                    fwdbwd: Optional[bool] = None) -> bool:
-    """Resolve the regions switch: explicit override, else the
-    ``REPRO_REGIONS`` env var, else follow the fwdbwd switch (``fwdbwd``
-    may be an already-resolved boolean or None to re-resolve)."""
-    if override is not None:
-        return override
-    raw = os.environ.get(ENV_FLAG)
-    if raw is not None:
-        return raw.strip().lower() not in ("0", "false", "off")
-    if fwdbwd is not None:
-        return fwdbwd
-    from .fwdbwd import fwdbwd_enabled
-    return fwdbwd_enabled(None, absint_enabled(None))
-
-
-# ---------------------------------------------------------------------------
-# Regions: interval x congruence index sets
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Region:
-    """A set of array indices as an interval × congruence product."""
-
-    interval: Interval
-    congruence: Congruence
-
-    BOT: "Region" = None  # type: ignore[assignment]
-    TOP: "Region" = None  # type: ignore[assignment]
-
-    @staticmethod
-    def of(val: AbsVal) -> "Region":
-        return Region(val.interval, val.congruence)
-
-    @property
-    def is_bottom(self) -> bool:
-        return self.interval.is_bottom or self.congruence.is_bottom
-
-    def join(self, other: "Region") -> "Region":
-        if self.is_bottom:
-            return other
-        if other.is_bottom:
-            return self
-        return Region(self.interval.join(other.interval),
-                      self.congruence.join(other.congruence))
-
-    def contains(self, n: int) -> bool:
-        return (not self.is_bottom and self.interval.contains(n)
-                and self.congruence.contains(n))
-
-    def members(self, cap: int = GUIDED_REGION_CAP) -> Optional[Tuple[int, ...]]:
-        """All member indices when the region is finite and small.
-
-        None when the region is empty, unbounded, or wider than ``cap``
-        — only small finite regions are worth expanding into guided
-        axiom instances.
-        """
-        if self.is_bottom:
-            return None
-        lo, hi = self.interval.lo, self.interval.hi
-        if lo is None or hi is None or hi - lo + 1 > cap:
-            return None
-        picked = tuple(n for n in range(lo, hi + 1)
-                       if self.congruence.contains(n))
-        return picked or None
-
-    def __str__(self) -> str:
-        if self.is_bottom:
-            return "⊥"
-        text = str(self.interval)
-        if self.congruence.modulus > 1:
-            text += f" {self.congruence}"
-        return text
-
-
-Region.BOT = Region(Interval.BOT, Congruence.BOT)
-Region.TOP = Region(Interval.TOP, Congruence.TOP)
-
-ALLOCATED = Region(Interval.make(0, None), Congruence.TOP)
-"""Every suite array is 0-based with a symbolic length: the allocated
-index region is ``[0, +∞)``.  Out-of-region refutation only trusts the
-half the IR guarantees (no negative cells are ever allocated)."""
-
-
-@dataclass
-class ArrayFootprint:
-    """Reachable index regions of one array."""
-
-    name: str
-    reads: Region = Region.BOT
-    writes: Region = Region.BOT
-
-    @property
-    def accessed(self) -> Region:
-        return self.reads.join(self.writes)
-
-    def describe(self) -> str:
-        return (f"{self.name}: reads {self.reads}, writes {self.writes}")
 
 
 @dataclass
@@ -197,46 +67,15 @@ class LoopBound:
 
 @dataclass
 class RegionReport:
-    """Everything the three consumers read, for one task."""
+    """Loop bounds, path count and value ranges of one task."""
 
     name: str
     loops: List[LoopBound] = field(default_factory=list)
-    arrays: Dict[str, ArrayFootprint] = field(default_factory=dict)
     path_count: Optional[int] = None
     max_unroll: int = 0
     value_ranges: Dict[str, Tuple[int, int]] = field(default_factory=dict)
     """Array cell-value ranges ``name -> (lo, hi)`` recovered from the
     task's input range axioms (``lo <= a[k] < hi``)."""
-
-    def guided_indices(self, cap: int = GUIDED_REGION_CAP
-                       ) -> Dict[str, Tuple[int, ...]]:
-        """Per-array concrete index lists for guided axiom instantiation.
-
-        Only arrays whose reachable footprint is a small *finite* region
-        appear: expanding an unbounded region is impossible, and the
-        trigger E-matcher already instantiates over every syntactic
-        index term, so finite-region corner constants are exactly the
-        instances it can miss.
-        """
-        out: Dict[str, Tuple[int, ...]] = {}
-        for name, fp in sorted(self.arrays.items()):
-            members = fp.accessed.members(cap)
-            if members:
-                out[name] = members
-        return out
-
-    def default_cell(self, array: str) -> int:
-        """A cell value satisfying the array's input range axiom.
-
-        The smallest admissible value (the range's ``lo``), or 0 for
-        arrays without a recorded range — matching what concrete replay
-        reads from unconstrained cells.
-        """
-        rng = self.value_ranges.get(array)
-        if rng is None:
-            return 0
-        lo, hi = rng
-        return lo if not (lo <= 0 < hi) else 0
 
     def bounded_loops(self) -> int:
         return sum(1 for lb in self.loops if lb.bounded)
@@ -248,8 +87,6 @@ class RegionReport:
                  f"{self.path_count if self.path_count is not None else '?'}"]
         for lb in self.loops:
             lines.append(f"  loop {lb.describe()}")
-        for name in sorted(self.arrays):
-            lines.append(f"  array {self.arrays[name].describe()}")
         for name in sorted(self.value_ranges):
             lo, hi = self.value_ranges[name]
             lines.append(f"  range {name}[k] in [{lo}, {hi})")
@@ -264,72 +101,9 @@ class RegionReport:
                        "rank": str(lb.rank) if lb.rank is not None else None,
                        "decrease": lb.decrease, "bounded": lb.bounded}
                       for lb in self.loops],
-            "arrays": {name: {"reads": str(fp.reads),
-                              "writes": str(fp.writes)}
-                       for name, fp in sorted(self.arrays.items())},
             "value_ranges": {name: list(rng) for name, rng
                              in sorted(self.value_ranges.items())},
         }
-
-
-# ---------------------------------------------------------------------------
-# Footprint analysis (a recording ForwardAnalyzer)
-# ---------------------------------------------------------------------------
-
-
-def _base_array(e: Expr) -> Optional[str]:
-    """The base variable of a (possibly nested-update) array expression."""
-    while isinstance(e, Update):
-        e = e.array
-    return e.name if isinstance(e, Var) else None
-
-
-class FootprintAnalyzer(ForwardAnalyzer):
-    """A :class:`ForwardAnalyzer` that records ``sel``/``upd`` index
-    regions at every abstract visit.
-
-    Joining across visits (including widened Kleene iterates) keeps the
-    recorded region an over-approximation of every index any concrete
-    execution can touch at that point — exactly what a sound footprint
-    needs, at zero extra fixpoint cost.
-    """
-
-    def __init__(self, sorts: Mapping[str, Sort], **kwargs: Any) -> None:
-        super().__init__(sorts, **kwargs)
-        self.footprints: Dict[str, ArrayFootprint] = {}
-
-    def _touch(self, name: str) -> ArrayFootprint:
-        fp = self.footprints.get(name)
-        if fp is None:
-            fp = ArrayFootprint(name)
-            self.footprints[name] = fp
-        return fp
-
-    def _record_accesses(self, node: Union[Expr, Pred], env: AbsEnv) -> None:
-        for sub in ast.walk_exprs(node):
-            if isinstance(sub, Select):
-                base = _base_array(sub.array)
-                if base is not None:
-                    region = Region.of(eval_expr(sub.index, env))
-                    fp = self._touch(base)
-                    fp.reads = fp.reads.join(region)
-            elif isinstance(sub, Update):
-                base = _base_array(sub.array)
-                if base is not None:
-                    region = Region.of(eval_expr(sub.index, env))
-                    fp = self._touch(base)
-                    fp.writes = fp.writes.join(region)
-
-    def _stmt(self, s: Stmt, env: AbsEnv) -> AbsEnv:
-        if not env.bottom:
-            if isinstance(s, Assign):
-                for e in s.exprs:
-                    self._record_accesses(e, env)
-            elif isinstance(s, Assume):
-                self._record_accesses(s.pred, env)
-            elif isinstance(s, (GIf, GWhile)):
-                self._record_accesses(s.cond, env)
-        return super()._stmt(s, env)
 
 
 # ---------------------------------------------------------------------------
@@ -562,18 +336,14 @@ def path_count(body: Stmt, max_unroll: int) -> Optional[int]:
 def analyze_regions(body: Stmt, decls: Mapping[str, Sort],
                     max_unroll: int = 0, name: str = "",
                     axioms: Iterable[object] = ()) -> RegionReport:
-    """The full region/bound analysis of one desugared program body."""
-    analyzer = FootprintAnalyzer(decls)
-    analyzer.run(body)
-    report = RegionReport(
+    """The full loop-bound/path-count analysis of one desugared body."""
+    return RegionReport(
         name=name,
         loops=loop_bounds(body, decls),
-        arrays=analyzer.footprints,
         path_count=path_count(body, max_unroll),
         max_unroll=max_unroll,
         value_ranges=value_ranges_from_axioms(axioms),
     )
-    return report
 
 
 def analyze_task(task: object, name: str = "") -> RegionReport:
@@ -605,56 +375,7 @@ def inferred_path_budget(name: str) -> Optional[int]:
 
 
 # ---------------------------------------------------------------------------
-# Consumer 3: out-of-region candidate refutation
-# ---------------------------------------------------------------------------
-
-
-def refute_out_of_region(space: object, report: RegionReport
-                         ) -> List[Tuple[str, int]]:
-    """Hole candidates whose select index provably exits every region.
-
-    Conservative first cut: only *constant* indices are judged, against
-    the union of the array's allocated region (0-based, so negative
-    constants are always out) and its reachable footprint.  Anything
-    with a variable index is left to the solver.  Returned pairs become
-    unit blocking clauses, exactly like the fwdbwd refutations.
-    """
-    refuted: List[Tuple[str, int]] = []
-    expr_holes: Sequence[Tuple[str, Sequence[Expr]]] = getattr(
-        space, "expr_holes", ())
-    for hole, candidates in expr_holes:
-        for idx, candidate in enumerate(candidates):
-            if _candidate_out_of_region(candidate, report):
-                refuted.append((hole, idx))
-    return refuted
-
-
-def _candidate_out_of_region(candidate: Expr, report: RegionReport) -> bool:
-    for sub in ast.walk_exprs(candidate):
-        if not isinstance(sub, Select):
-            continue
-        base = _base_array(sub.array)
-        if base is None:
-            continue
-        top = AbsEnv({})
-        const = eval_expr(sub.index, top).as_const()
-        if const is None:
-            continue
-        if ALLOCATED.contains(const):
-            continue
-        fp = report.arrays.get(base)
-        # A full-line footprint means the index analysis learned nothing
-        # (hole expressions evaluate to TOP); it must not widen the
-        # allowed set, or no constant would ever be refuted.
-        if (fp is not None and not fp.accessed.interval.is_top
-                and fp.accessed.contains(const)):
-            continue
-        return True
-    return False
-
-
-# ---------------------------------------------------------------------------
-# Satellite: the stale-profile-budget suitelint rule
+# The stale-profile-budget suitelint rule
 # ---------------------------------------------------------------------------
 
 
@@ -689,17 +410,3 @@ def lint_profile_budget(name: str, budget_spec: Optional[str]
         program=name,
     )]
 
-
-def profile_budget_json(names: Sequence[str]) -> str:
-    """JSON summary of hand vs inferred path budgets (CLI helper)."""
-    from ..suite import bench_profile
-
-    rows = []
-    for name in names:
-        profile = bench_profile(name)
-        rows.append({
-            "name": name,
-            "profile_budget": profile.budget,
-            "inferred_paths": inferred_path_budget(name),
-        })
-    return json.dumps(rows, indent=2, sort_keys=True)

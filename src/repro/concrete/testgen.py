@@ -9,58 +9,11 @@ screening loop in ``pins.solve``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional, Sequence
+from typing import Any, Dict, Mapping
 
-from ..lang.ast import Sort
 from ..smt.models import Model
-from ..smt.terms import Op, Term
+from ..smt.terms import Op
 from .values import ConcreteArray
-
-
-def input_from_model(model: Model, input_vars: Mapping[str, Sort],
-                     length_hints: Optional[Mapping[str, str]] = None,
-                     ) -> Optional[Dict[str, Any]]:
-    """Extract concrete input values for version-0 variables from a model.
-
-    ``length_hints`` optionally maps array names to the length variable
-    bounding them, so extracted arrays are densified up to that length.
-    Returns None when some input has a sort we cannot concretize (e.g. an
-    abstract string) — callers then fall back to generator-based tests.
-    """
-    length_hints = length_hints or {}
-    out: Dict[str, Any] = {}
-    int_values: Dict[str, int] = {}
-    for term, value in model.int_values.items():
-        if term.op == Op.VAR:
-            int_values[term.payload] = value
-    for name, sort in input_vars.items():
-        versioned = f"{name}#0"
-        if sort is Sort.INT:
-            out[name] = int_values.get(versioned, 0)
-        elif sort is Sort.ARRAY:
-            contents: Dict[int, int] = {}
-            for arr_term, arr_contents in model.arrays.items():
-                if arr_term.op == Op.VAR and arr_term.payload == versioned:
-                    contents = dict(arr_contents)
-            out[name] = contents  # densified below once lengths are known
-        else:
-            return None
-    for name, sort in input_vars.items():
-        if sort is Sort.ARRAY:
-            contents = out[name]
-            length_var = length_hints.get(name)
-            length = int_values.get(f"{length_var}#0", 0) if length_var else (
-                max(contents) + 1 if contents else 0
-            )
-            length = max(length, (max(contents) + 1) if contents else 0)
-            length = max(0, min(length, 64))
-            arr = ConcreteArray(default=0)
-            for i in range(length):
-                arr = arr.set(i, contents.get(i, 0))
-            for i, v in contents.items():
-                arr = arr.set(i, v)
-            out[name] = arr
-    return out
 
 
 def env_inputs_from_model(model: Model) -> Dict[str, Any]:

@@ -76,25 +76,15 @@ class PinsConfig:
     symbolic executor, the abstract constraint screen in the checker, and
     abstract path-infeasibility in pickOne.  ``None`` defers to the
     ``REPRO_ABSINT`` env var, which itself defaults to the static-pruning
-    setting (so fully-unpruned baselines stay unpruned)."""
+    setting (so fully-unpruned baselines stay unpruned).  The cascade
+    gates speed layers only: counterexample replay and its downgrade
+    stay on whatever this resolves to."""
     fwdbwd: Optional[bool] = None
-    """Use the forward-backward unknowns analysis: statically refute
-    hole candidates (and candidate pairs) as SAT unit clauses before
-    CDCL ever runs, screen constraint checks with the linear
-    fold / Fourier–Motzkin engine (HOLDS-only, so the synthesis
-    trajectory is bit-identical), and let pickOne consult the per-hole
-    feasible sets.  ``None`` defers to the ``REPRO_FWDBWD`` env var,
-    which itself follows the absint switch (so fully-unpruned baselines
-    stay unpruned)."""
-    regions: Optional[bool] = None
-    """Use the array-region / loop-bound analysis: guided axiom
-    instantiation over finite index regions, downgrading of VIOLATED
-    answers whose counterexample cannot be replayed concretely
-    (axiom-incomplete extern models), region-derived default cells for
-    abstract witnesses, and out-of-region candidate refutation seeded as
-    SAT unit clauses.  ``None`` defers to the ``REPRO_REGIONS`` env var,
-    which itself follows the fwdbwd switch (so fully-unpruned baselines
-    stay unpruned)."""
+    """Use the forward-backward linear screen: decide constraint checks
+    with the linear fold / Fourier–Motzkin engine before SMT (HOLDS-only,
+    so the synthesis trajectory is bit-identical).  ``None`` defers to
+    the ``REPRO_FWDBWD`` env var, which itself follows the absint switch
+    (so fully-unpruned baselines stay unpruned)."""
     trace: Optional[str] = None
     """Write a JSONL observability trace of this run to the given path
     (appending).  ``None`` defers to the ``REPRO_TRACE`` env var; when
@@ -189,10 +179,6 @@ class PinsStats:
     absint_screen_holds: int = 0
     absint_screen_refutes: int = 0
     fwdbwd_screen_holds: int = 0
-    fwdbwd_units_refuted: int = 0
-    fwdbwd_pairs_refuted: int = 0
-    regions_units_refuted: int = 0
-    regions_loops_bounded: int = 0
     checker_smt_checks: int = 0
     smt_cache_hits: int = 0
     smt_cache_misses: int = 0
@@ -229,10 +215,6 @@ STATS_COUNTER_MAP = (
     ("absint_screen_holds", "solve.absint_hold"),
     ("absint_screen_refutes", "solve.absint_refute"),
     ("fwdbwd_screen_holds", "solve.fwdbwd_hold"),
-    ("fwdbwd_units_refuted", "analysis.fwdbwd.units_refuted"),
-    ("fwdbwd_pairs_refuted", "analysis.fwdbwd.pairs_refuted"),
-    ("regions_units_refuted", "analysis.regions.units_refuted"),
-    ("regions_loops_bounded", "analysis.regions.loops_bounded"),
     ("candidates_demoted", "solve.demoted"),
 )
 """(PinsStats attribute, obs counter name) pairs that must agree at the
@@ -406,8 +388,6 @@ def _run_pins(task: SynthesisTask, config: PinsConfig,
         spec = task.derived_spec(desugared.decls)
 
         query_cache = query_cache_for(config.query_cache, task.cache_slug())
-        input_vars = {v: desugared.decls[v] for v in task.program.inputs}
-        length_hints = {arr: ln for arr, _out, ln in spec.array_pairs}
         absint_on = config.absint
         if absint_on is None and config.static_pruning is not None:
             # An explicit static-pruning override cascades to absint so
@@ -415,15 +395,16 @@ def _run_pins(task: SynthesisTask, config: PinsConfig,
             absint_on = config.static_pruning
         checker = ConstraintChecker(
             desugared.decls, task.externs, task.axioms + task.input_axioms,
-            input_vars=input_vars, length_hints=length_hints,
             conflict_budget=config.solver_conflict_budget,
             query_cache=query_cache,
             absint=absint_on,
             fwdbwd=config.fwdbwd,
             budget=budget,
             incremental=config.incremental,
-            regions=config.regions,
             inc_pool=config.inc_context_pool,
+            # Acceptance-time concrete round trip for candidates riding
+            # on replay downgrades (inert unless a downgrade happens).
+            roundtrip=(task.program, template, spec, task.precondition),
         )
         constraints: List[Constraint] = terminate(desugared.body, desugared.decls)
         session = SolveSession(template.space, prune_report=template.prune_report)
@@ -431,56 +412,6 @@ def _run_pins(task: SynthesisTask, config: PinsConfig,
         solve_stats = SolveStats()
         if template.prune_report is not None:
             solve_stats.indicators_pruned = template.prune_report.indicators_removed
-
-        if checker.fwdbwd:
-            from ..analysis.fwdbwd import analyze_unknowns
-
-            with obs.span("analysis.fwdbwd"):
-                fb_report = analyze_unknowns(task.program, task.inverse,
-                                             template.space, spec,
-                                             desugared.decls)
-            template.fwdbwd_report = fb_report
-            checker.fwdbwd_report = fb_report
-            # Statically refuted candidates/pairs become unit/binary
-            # clauses the CDCL loop can never revisit.
-            enum = session.enumerator
-            units = fb_report.refuted_units()
-            pair_refs = fb_report.refuted_pairs()
-            for hole, idx in units:
-                session.persistent_clauses.append([-enum.var_of[(hole, idx)]])
-            for (hole_a, idx_a), (hole_b, idx_b) in pair_refs:
-                session.persistent_clauses.append(
-                    [-enum.var_of[(hole_a, idx_a)],
-                     -enum.var_of[(hole_b, idx_b)]])
-            obs.count("analysis.fwdbwd.units_refuted", len(units))
-            obs.count("analysis.fwdbwd.pairs_refuted", len(pair_refs))
-            stats.fwdbwd_units_refuted = len(units)
-            stats.fwdbwd_pairs_refuted = len(pair_refs)
-
-        if checker.regions:
-            from ..analysis.regions import analyze_task, refute_out_of_region
-
-            with obs.span("analysis.regions"):
-                region_report = analyze_task(task)
-            checker.attach_region_report(region_report)
-            # Candidates whose constant select index provably exits every
-            # allocated region become unit blocking clauses, exactly like
-            # the fwdbwd refutations above.
-            enum = session.enumerator
-            region_units = refute_out_of_region(template.space, region_report)
-            for hole, idx in region_units:
-                session.persistent_clauses.append([-enum.var_of[(hole, idx)]])
-            obs.count("analysis.regions.units_refuted", len(region_units))
-            obs.count("analysis.regions.loops_bounded",
-                      region_report.bounded_loops())
-            stats.regions_units_refuted = len(region_units)
-            stats.regions_loops_bounded = region_report.bounded_loops()
-            # Arm the acceptance-time concrete round-trip refuter for
-            # candidates that ride on replay-failure downgrades (only
-            # reachable when a downgrade actually happened, so the
-            # trajectory elsewhere is untouched).
-            checker.attach_roundtrip(task.program, template, spec,
-                                     task.precondition)
 
         tests: List[Dict[str, Any]] = []
         seen = set()

@@ -29,7 +29,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from .. import obs, smt
 from ..axioms.registry import EMPTY_REGISTRY, ExternRegistry
 from ..concrete.interp import InterpError, run_path
-from ..concrete.testgen import input_from_model
 from ..lang import ast
 from ..lang.ast import Pred, Sort
 from ..symexec.paths import Path, substitute_items
@@ -82,9 +81,9 @@ class CheckerStats:
     spurious_cex: int = 0
     replay_failed: int = 0
     """VIOLATED answers returned with a counterexample that could not be
-    replayed concretely (the model may be axiom-incomplete).  With the
-    region analysis on this must stay 0: unreplayable extern-bearing
-    counterexamples are downgraded instead of returned."""
+    replayed concretely on an extern-free query (the model may be
+    axiom-incomplete).  Unreplayable extern-bearing counterexamples are
+    downgraded instead of returned."""
     replay_downgraded: int = 0
     """VIOLATED answers downgraded to UNKNOWN because their model's
     extern function tables diverge from the concrete semantics (replay
@@ -101,8 +100,6 @@ class ConstraintChecker:
     def __init__(self, sorts: Mapping[str, Sort],
                  externs: ExternRegistry = EMPTY_REGISTRY,
                  axioms: Sequence[smt.Axiom] = (),
-                 input_vars: Mapping[str, Sort] = (),
-                 length_hints: Mapping[str, str] = (),
                  conflict_budget: int = 100_000,
                  lia_branch_limit: int = 120,
                  query_cache: Optional[object] = None,
@@ -110,19 +107,17 @@ class ConstraintChecker:
                  budget: Optional[object] = None,
                  fwdbwd: Optional[bool] = None,
                  incremental: Optional[bool] = None,
-                 regions: Optional[bool] = None,
-                 inc_pool: Optional[object] = None):
+                 inc_pool: Optional[object] = None,
+                 roundtrip: Optional[Tuple] = None):
         from ..analysis.absint import absint_enabled
         from ..analysis.fwdbwd import fwdbwd_enabled
-        from ..analysis.regions import regions_enabled
+        from ..analysis.regions import value_ranges_from_axioms
         from ..smt.incremental import ContextPool, incremental_enabled
 
         self.sorts = dict(sorts)
         self.sorts.setdefault(SPEC_INDEX_VAR, Sort.INT)
         self.externs = externs
         self.axioms = tuple(axioms)
-        self.input_vars = dict(input_vars or {})
-        self.length_hints = dict(length_hints or {})
         self.conflict_budget = conflict_budget
         self.lia_branch_limit = lia_branch_limit
         self.query_cache = query_cache
@@ -145,31 +140,18 @@ class ConstraintChecker:
         self._inc_bases: Dict[int, Tuple[object, Tuple]] = {}
         """``id(constraint_or_path) -> (pinned source, base terms)``.  The
         source object is pinned so its id can never be recycled."""
-        self.fwdbwd_report = None
-        """Optional :class:`repro.analysis.fwdbwd.FwdBwdReport` attached
-        by the PINS driver; consulted by pickOne's infeasibility score."""
-        self.regions = regions_enabled(regions, self.fwdbwd)
-        self.region_report = None
-        """Optional :class:`repro.analysis.regions.RegionReport` attached
-        by the PINS driver via :meth:`attach_region_report`."""
-        self.guided_indices: Dict[str, Tuple[int, ...]] = {}
-        """Finite reachable index sets per array (from the region
-        report); handed to every solver for guided axiom instantiation.
-        Empty whenever regions are off or every region is symbolic."""
+        ranges = value_ranges_from_axioms(self.axioms)
+        self._default_cells = {name: 0 if lo <= 0 < hi else lo
+                               for name, (lo, hi) in ranges.items()}
+        """Per-array cell value completing abstract witnesses: the low
+        end of the array's axiom-derived value range, or 0 when the
+        range admits it (or the array has none)."""
         self.stats = CheckerStats()
         self._sat_cache: Dict[tuple, Tuple[str, Optional[smt.Model]]] = {}
 
-        self._roundtrip: Optional[Tuple] = None
-
-    def attach_region_report(self, report: object) -> None:
-        """Attach a region report and derive the guided index sets."""
-        self.region_report = report
-        self.guided_indices = dict(report.guided_indices())
-
-    def attach_roundtrip(self, program, template, spec,
-                         precondition=None) -> None:
-        """Arm the acceptance-time concrete round-trip refuter."""
-        self._roundtrip = (program, template, spec, precondition)
+        self._roundtrip = roundtrip
+        """``(program, template, spec, precondition)`` arming the
+        acceptance-time concrete round-trip refuter, or None."""
 
     def concrete_roundtrip(self, solution: Solution,
                            tests: Sequence[Mapping[str, Any]]
@@ -225,20 +207,15 @@ class ConstraintChecker:
         self.stats.smt_checks += 1
         start = time.perf_counter()
         translator = Translator(self.sorts, self.externs)
-        guided = self.guided_indices if self.regions else None
         solver = smt.Solver(axioms=self.axioms,
                             sat_conflict_budget=self.conflict_budget,
                             lia_branch_limit=self.lia_branch_limit,
                             query_cache=self.query_cache,
-                            budget=self.budget,
-                            guided_indices=guided or None)
+                            budget=self.budget)
         incremental = False
         if self._inc_pool is not None and inc_src is not None:
             base = self._inc_base_terms(inc_src)
-            if base and not guided:
-                # Warm incremental contexts were built without the guided
-                # instances; routing a guided query through one could
-                # answer from a weaker formula set.
+            if base:
                 solver.attach_incremental(self._inc_pool, base)
             incremental = True
         try:
@@ -386,12 +363,6 @@ class ConstraintChecker:
                                         via="absint")
         return None
 
-    def _default_cell(self, array: str) -> int:
-        """Default cell value for completing an array witness."""
-        if self.region_report is not None:
-            return self.region_report.default_cell(array)
-        return 0
-
     def _abstract_witness(self, constraint: Constraint, solution: Solution,
                           denv) -> Optional[Dict[str, Any]]:
         """Try to turn a refined abstract state into a concrete refutation.
@@ -410,12 +381,11 @@ class ConstraintChecker:
             if sort is not Sort.INT:
                 # Non-relational domains say nothing about array contents,
                 # but the witness must be a *complete* input (preconditions
-                # and test replay expect every variable).  The region
-                # analysis picks the default cell: the low end of the
-                # array's axiom-derived value range, so the completion
-                # satisfies range preconditions instead of assuming zero
-                # is always in range.
-                inputs[name] = ConcreteArray(default=self._default_cell(name))
+                # and test replay expect every variable).  The default
+                # cell satisfies the array's range axiom instead of
+                # assuming zero is always in range.
+                inputs[name] = ConcreteArray(
+                    default=self._default_cells.get(name, 0))
                 continue
             val = denv.get(f"{name}#0")
             pick = val.as_const()
@@ -547,7 +517,7 @@ class ConstraintChecker:
                     saw_spurious = True
                     continue
                 if replay == REPLAY_FAILED:
-                    if self.regions and self._has_extern_app(ground):
+                    if self._has_extern_app(ground):
                         # The model's uninterpreted extern tables diverge
                         # from the concrete semantics badly enough that
                         # the witness does not even follow its own path.
@@ -559,9 +529,9 @@ class ConstraintChecker:
                         obs.count("analysis.regions.downgraded")
                         saw_downgraded = True
                         continue
-                    # Regions off (or no externs to blame): historical
-                    # behaviour — the model may still witness a genuine
-                    # bug the partial input extraction cannot reproduce.
+                    # No externs to blame: the model may still witness a
+                    # genuine bug the partial input extraction cannot
+                    # reproduce.
                     self.stats.replay_failed += 1
                     obs.count("analysis.regions.replay_failed")
                 return CheckOutcome(VIOLATED, counterexample=counterexample)
@@ -660,12 +630,3 @@ class ConstraintChecker:
                 return True
         status, _ = self._check_sat(ground, want_model=False, inc_src=path)
         return status == smt.UNSAT
-
-    def concrete_input_for_path(self, path: Path, solution: Solution
-                                ) -> Optional[Dict[str, Any]]:
-        """A concrete input driving execution down ``path`` (Section 2.5)."""
-        ground = substitute_items(path.items, solution.expr_map, solution.pred_map)
-        status, model = self._check_sat(ground, want_model=True, inc_src=path)
-        if status != smt.SAT or model is None or not self.input_vars:
-            return None
-        return input_from_model(model, self.input_vars, self.length_hints)

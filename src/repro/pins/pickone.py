@@ -23,18 +23,7 @@ from .template import Solution
 
 def infeasible_score(solution: Solution, explored: Sequence[Path],
                      checker: ConstraintChecker) -> int:
-    """``infeasible(S)``: explored paths that are infeasible under S.
-
-    A solution picking a candidate the forward-backward unknowns
-    analysis statically refuted is known-incorrect and gets the maximal
-    score outright — it is exactly the kind of suspect pickOne wants to
-    execute next, and no SMT probe is needed to say so.  (Such solutions
-    only reach here through direct API use: when the analysis runs, its
-    unit clauses keep CDCL from ever proposing them.)
-    """
-    report = getattr(checker, "fwdbwd_report", None)
-    if report is not None and not report.allows(solution):
-        return len(explored)
+    """``infeasible(S)``: explored paths that are infeasible under S."""
     return sum(1 for path in explored if checker.path_infeasible(path, solution))
 
 

@@ -179,10 +179,6 @@ class SynthesisTemplate:
     prune_report: Optional[object] = None
     """Static-pruning accounting from ``build_template`` (None when
     pruning was disabled)."""
-    fwdbwd_report: Optional[object] = None
-    """Forward-backward unknowns-analysis report
-    (:class:`repro.analysis.fwdbwd.FwdBwdReport`), attached by the PINS
-    driver after the spec is derived; None when the pass is disabled."""
 
     def __post_init__(self) -> None:
         from ..analysis.diagnostics import AnalysisError

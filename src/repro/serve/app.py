@@ -257,10 +257,7 @@ class ServeApp:
 
         spec = request.config.get("budget")
         if spec is None:
-            regions = request.config.get("regions")
-            spec = resolved_budget(
-                request.program,
-                regions=True if regions is None else bool(regions))
+            spec = resolved_budget(request.program)
         try:
             return resolve_budget(spec)
         except ValueError as exc:

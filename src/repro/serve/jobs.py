@@ -38,7 +38,7 @@ DEFAULT_TENANT = "default"
 
 _CONFIG_KEYS = frozenset({
     "m", "max_iterations", "seed", "jobs", "workers", "budget", "faults",
-    "incremental", "absint", "fwdbwd", "regions", "static_pruning",
+    "incremental", "absint", "fwdbwd", "static_pruning",
     "warm_contexts",
 })
 """Job-config keys a submission may set.  A whitelist, not a

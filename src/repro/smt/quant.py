@@ -17,9 +17,9 @@ here because PINS is inductive and validates its output post-hoc.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .terms import Op, Term, mk_int, substitute, subterms
+from .terms import Term, substitute, subterms
 
 
 @dataclass(frozen=True)
@@ -139,45 +139,3 @@ def instantiate(axioms: Sequence[Axiom], assertions: Sequence[Term],
             feed(inst)
         instances.extend(new_instances)
     return instances
-
-
-def guided_instances(axioms: Sequence[Axiom],
-                     guided: Mapping[str, Sequence[int]],
-                     max_instances: int = 2000) -> List[Term]:
-    """Ground instances covering a statically known index region.
-
-    The region analysis (:mod:`repro.analysis.regions`) hands the solver
-    the finite set of indices each array can be accessed at; any
-    single-variable axiom whose trigger selects from such an array over
-    its quantified index is instantiated at *every* region index —
-    independent of which ground index terms happen to occur in the query,
-    which is exactly the gap trigger E-matching leaves (a model can
-    assign garbage to cells the triggers never touched, making SMT
-    counterexamples that do not replay concretely).  Array names in
-    ``guided`` are version-stripped (``A``, not ``A#0``).
-    """
-    out: List[Term] = []
-    produced: Set[Tuple[str, int]] = set()
-    for axiom in axioms:
-        if len(axiom.variables) != 1:
-            continue
-        var = axiom.variables[0]
-        arrays: Set[str] = set()
-        for pattern in axiom.normalized_patterns():
-            for component in pattern:
-                for sub in subterms(component):
-                    if (sub.op == Op.SELECT and sub.args[1] is var
-                            and sub.args[0].op == Op.VAR):
-                        name = str(sub.args[0].payload).split("#", 1)[0]
-                        arrays.add(name)
-        indices = sorted({i for name in arrays
-                          for i in guided.get(name, ())})
-        for i in indices:
-            key = (axiom.name, i)
-            if key in produced:
-                continue
-            produced.add(key)
-            out.append(substitute(axiom.body, {var: mk_int(i)}))
-            if len(out) >= max_instances:
-                return out
-    return out

@@ -34,7 +34,7 @@ from . import lia as lia_mod
 from .cnf import CnfBuilder
 from .euf import CongruenceClosure, EufConflict
 from .models import Model, ModelInconsistency, build_model, verify_literals
-from .quant import Axiom, guided_instances, instantiate
+from .quant import Axiom, instantiate
 from .sat import SatSolver
 from .terms import (
     FALSE,
@@ -217,15 +217,9 @@ class Solver:
                  sat_conflict_budget: int = 200_000,
                  lia_branch_limit: int = 200,
                  query_cache: Optional[object] = None,
-                 budget: Optional[object] = None,
-                 guided_indices: Optional[Dict[str, Tuple[int, ...]]] = None):
+                 budget: Optional[object] = None):
         self.axioms = list(axioms)
         self.instantiation_rounds = instantiation_rounds
-        self.guided_indices = dict(guided_indices) if guided_indices else None
-        """Optional region-analysis index sets (version-stripped array
-        name -> finite reachable indices); preprocessing adds the guided
-        axiom instances trigger E-matching may miss.  See
-        :func:`repro.smt.quant.guided_instances`."""
         self.max_theory_rounds = max_theory_rounds
         self.sat_conflict_budget = sat_conflict_budget
         self.lia_branch_limit = lia_branch_limit
@@ -271,17 +265,6 @@ class Solver:
             instances = instantiate(
                 self.axioms, formulas, rounds=self.instantiation_rounds
             )
-            if self.guided_indices:
-                # Region-guided instances close the E-matching gap for
-                # finite index regions; duplicates of trigger-found
-                # instances are dropped (terms are hash-consed) so a
-                # fully trigger-covered query is byte-identical with
-                # guidance on or off.
-                seen = {t.id for t in formulas} | {t.id for t in instances}
-                for g in guided_instances(self.axioms, self.guided_indices):
-                    if g.id not in seen:
-                        seen.add(g.id)
-                        instances.append(g)
             formulas = formulas + instances
             # Axiom instances can introduce new selects-over-stores.
             formulas = formulas + arrays_mod.read_over_write_lemmas(formulas)
@@ -360,13 +343,6 @@ class Solver:
         if cache is not None:
             key = (f"{fingerprint}|{axioms_digest(self.axioms)}"
                    f"|{self.instantiation_rounds}")
-            if self.guided_indices:
-                # Guided instances change the preprocessed formula set,
-                # so guided and unguided answers must not share entries.
-                guided_repr = repr(sorted(
-                    (name, tuple(idx))
-                    for name, idx in self.guided_indices.items()))
-                key += "|g" + hashlib.sha1(guided_repr.encode()).hexdigest()[:12]
             hit = cache.lookup(key, self.assertions, need_model=want_model)
             if hit is not None:
                 # Correctness guard lives in the cache: ``unknown`` is

@@ -94,11 +94,11 @@ def bench_profile(name: str) -> BenchProfile:
     return PROFILES.get(name, BenchProfile())
 
 
-def resolved_budget(name: str, regions: bool = True) -> Optional[str]:
+def resolved_budget(name: str) -> Optional[str]:
     """The profile budget with an inferred ``paths=`` safety net.
 
-    When the region analysis is on and the hand profile has no path
-    budget, the statically inferred syntactic path ceiling (see
+    When the hand profile has no path budget, the statically inferred
+    syntactic path ceiling (see
     :func:`repro.analysis.regions.inferred_path_budget`) is appended as
     ``paths=<ceiling>``.  The executor returns each syntactic path at
     most once per run, so a budget at exactly the ceiling can never
@@ -112,7 +112,7 @@ def resolved_budget(name: str, regions: bool = True) -> Optional[str]:
     """
     profile = bench_profile(name)
     spec = profile.budget
-    if not regions or spec is None or "paths" in spec:
+    if spec is None or "paths" in spec:
         return spec
     from ..analysis.regions import PATH_COUNT_CAP, inferred_path_budget
 

@@ -1,7 +1,7 @@
-"""The forward-backward unknowns analysis: switch cascade, sampling,
-goal folding, and static unit/pair/empty-family refutation on synthetic
-templates (the real suite templates are deliberately permissive, so the
-refutation paths need constructed cases)."""
+"""The forward-backward unknowns analysis: switch cascade, goal folding,
+and static unit/pair/empty-family refutation on synthetic templates (the
+real suite templates are deliberately permissive, so the refutation
+paths need constructed cases)."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.analysis.fwdbwd import (
     analyze_unknowns,
     fold_goal,
     fwdbwd_enabled,
-    sample_state,
 )
 from repro.lang import ast
 from repro.lang.ast import Sort, Var
@@ -65,27 +64,6 @@ def test_fwdbwd_enabled_cascade(monkeypatch):
     assert fwdbwd_enabled(True, absint=False) is True
 
 
-# -- constraint-directed concretization ---------------------------------------
-
-
-def test_sample_state_respects_relational_guards():
-    sorts = {"m": INT, "mp": INT}
-    preds = [ast.ge(Var("m#0"), ast.n(3)),
-             ast.le(Var("m#0"), ast.n(5)),
-             ast.lt(Var("mp#0"), Var("m#0")),
-             ast.ge(Var("mp#0"), ast.n(0))]
-    picks = sample_state(preds, sorts)
-    assert picks is not None
-    assert 3 <= picks["m"] <= 5
-    assert 0 <= picks["mp"] < picks["m"]
-
-
-def test_sample_state_detects_abstract_unsat():
-    sorts = {"x": INT}
-    preds = [ast.ge(Var("x#0"), ast.n(5)), ast.le(Var("x#0"), ast.n(3))]
-    assert sample_state(preds, sorts) is None
-
-
 # -- backward goal folding ----------------------------------------------------
 
 
@@ -124,9 +102,8 @@ def test_analyze_unknowns_refutes_out_of_range_candidate():
     assert fs.kind == "expr" and fs.total == 3
     assert list(fs.feasible) == [0, 2]
     assert report.units_refuted == 1
-    assert report.refuted_units() == [("e1", 1)]
-    assert "0 - s" in report.refuted_exprs["e1"][0].__str__() \
-        or str(report.refuted_exprs["e1"][0])
+    assert [(r.hole, r.index, r.candidate) for r in fs.refuted] == [
+        ("e1", 1, str(parse_expr("0 - s")))]
     assert not report.empty_holes()
     assert "refuted" in report.describe()
 
@@ -145,17 +122,6 @@ def test_analyze_unknowns_keeps_feasible_space_untouched():
     assert list(report.feasible["e1"].feasible) == [0, 1, 2]
     assert report.units_refuted == 0 and not report.pairs
     assert "no candidate statically refuted" in report.describe()
-
-
-def test_report_allows_blocks_refuted_solutions():
-    from repro.pins.template import Solution
-
-    space = space_with(["s - 1", "0 - s"])
-    report = analyze_unknowns(FWD, INV_TEMPLATE, space, SPEC, SORTS)
-    good = Solution(exprs=(("e1", parse_expr("s - 1")),), preds=())
-    bad = Solution(exprs=(("e1", parse_expr("0 - s")),), preds=())
-    assert report.allows(good)
-    assert not report.allows(bad)
 
 
 def test_analyze_unknowns_skips_non_top_level_sites():
@@ -195,7 +161,7 @@ def test_analyze_unknowns_refutes_pairs():
     sorts = {"n": INT, "s": INT, "a": INT, "np": INT}
     report = analyze_unknowns(FWD, inv, space, sorts=sorts, spec=SPEC)
     assert report.units_refuted == 0
-    refuted = report.refuted_pairs()
+    refuted = [(p.first, p.second) for p in report.pairs]
     assert (("ea", 0), ("eb", 0)) in refuted
     assert (("ea", 1), ("eb", 0)) not in refuted
     assert (("ea", 1), ("eb", 1)) not in refuted

@@ -1,27 +1,19 @@
-"""The array-region / loop-bound analysis: switch cascade, region
-algebra, exact path counting, loop bounds (including the inner-loop
-decrease refinement), axiom-derived value ranges, out-of-region
-refutation, guided axiom instantiation, and the stale-profile-budget
-lint."""
+"""The loop-bound analysis: exact path counting, loop bounds (including
+the inner-loop decrease refinement), axiom-derived value ranges and the
+checker's default cells, and the stale-profile-budget lint."""
 
 import pytest
 
-from repro.analysis.domains import Congruence, Interval
 from repro.analysis.regions import (
-    ENV_FLAG,
     PATH_COUNT_CAP,
     STALE_PROFILE_BUDGET,
-    Region,
     analyze_task,
     inferred_path_budget,
     lint_profile_budget,
     path_count,
-    refute_out_of_region,
-    regions_enabled,
 )
-from repro.lang.parser import parse_expr
 from repro.lang.transform import compose, desugar_program
-from repro.pins.template import HoleSpace
+from repro.pins.checker import ConstraintChecker
 from repro.suite import BENCHMARK_MODULES, get_benchmark, resolved_budget
 from repro.suite.common import array_range_axiom
 from repro.symexec.executor import enumerate_paths
@@ -34,47 +26,6 @@ def task_of(name):
 def composed_body(name):
     task = task_of(name)
     return desugar_program(compose(task.program, task.inverse)).body
-
-
-# -- the switch ---------------------------------------------------------------
-
-
-def test_regions_enabled_cascade(monkeypatch):
-    monkeypatch.delenv(ENV_FLAG, raising=False)
-    assert regions_enabled(None, fwdbwd=True) is True
-    assert regions_enabled(None, fwdbwd=False) is False
-    assert regions_enabled(False, fwdbwd=True) is False
-    assert regions_enabled(True, fwdbwd=False) is True
-    monkeypatch.setenv(ENV_FLAG, "0")
-    assert regions_enabled(None, fwdbwd=True) is False
-    monkeypatch.setenv(ENV_FLAG, "on")
-    assert regions_enabled(None, fwdbwd=False) is True
-    # Explicit override still wins over the env var.
-    assert regions_enabled(False, fwdbwd=True) is False
-
-
-# -- region algebra -----------------------------------------------------------
-
-
-def test_region_membership_and_join():
-    a = Region(Interval.make(0, 3), Congruence.TOP)
-    b = Region(Interval.make(10, 12), Congruence.TOP)
-    assert a.contains(0) and a.contains(3) and not a.contains(4)
-    joined = a.join(b)
-    assert joined.contains(7)  # interval join over-approximates
-    assert Region.BOT.join(a) == a
-    assert a.join(Region.BOT) == a
-    assert Region.BOT.is_bottom
-    assert not Region.BOT.contains(0)
-
-
-def test_region_members_finite_and_capped():
-    small = Region(Interval.make(2, 5), Congruence.TOP)
-    assert small.members() == (2, 3, 4, 5)
-    assert Region(Interval.make(0, None), Congruence.TOP).members() is None
-    assert Region.BOT.members() is None
-    wide = Region(Interval.make(0, 10_000), Congruence.TOP)
-    assert wide.members() is None  # wider than the guided cap
 
 
 # -- exact path counting ------------------------------------------------------
@@ -118,7 +69,7 @@ def test_outer_loop_bounded_despite_inner_loop_on_runlength():
     assert report.bounded_loops() == 1
 
 
-# -- value ranges and footprints ----------------------------------------------
+# -- value ranges -------------------------------------------------------------
 
 
 def test_value_ranges_recovered_from_axioms():
@@ -129,41 +80,13 @@ def test_value_ranges_recovered_from_axioms():
 
 
 def test_default_cell_prefers_range_low_end():
-    report = analyze_task(task_of("lzw"))
-    assert report.default_cell("A") == 0  # 0 is inside [0, 2)
-    report.value_ranges["X"] = (5, 10)
-    assert report.default_cell("X") == 5  # 0 outside the range: snap to lo
-    assert report.default_cell("unknown") == 0
-
-
-def test_footprints_recorded():
-    report = analyze_task(task_of("vector_reverse"))
-    assert not report.arrays["A"].reads.is_bottom
-    assert report.arrays["A"].writes.is_bottom
-    assert not report.arrays["R"].writes.is_bottom
-
-
-def test_suite_guided_indices_are_empty():
-    # Every suite array is indexed through [0, n) with symbolic n, so no
-    # finite region exists and guided instantiation adds nothing — which
-    # is what keeps the recorded digests bit-identical regions-on/off.
-    for name in BENCHMARK_MODULES:
-        assert analyze_task(task_of(name)).guided_indices() == {}, name
-
-
-# -- out-of-region refutation -------------------------------------------------
-
-
-def test_refutes_constant_negative_index():
-    report = analyze_task(task_of("vector_reverse"))
-    space = HoleSpace(
-        expr_holes=(("e1", (parse_expr("sel(A, 0 - 1)"),
-                            parse_expr("sel(A, 0)"),
-                            parse_expr("sel(A, i)"),
-                            parse_expr("i + 1"))),),
-        pred_holes=())
-    refuted = refute_out_of_region(space, report)
-    assert refuted == [("e1", 0)]
+    task = task_of("lzw")
+    axioms = (tuple(task.axioms) + tuple(task.input_axioms)
+              + (array_range_axiom("X", "n", 5, 10),))
+    cells = ConstraintChecker({}, axioms=axioms)._default_cells
+    assert cells["A"] == 0  # 0 is inside [0, 2)
+    assert cells["X"] == 5  # 0 outside the range: snap to lo
+    assert "unknown" not in cells  # completed with 0
 
 
 # -- inferred path budgets ----------------------------------------------------
@@ -180,8 +103,6 @@ def test_resolved_budget_appends_only_when_absent():
         f";paths={inferred_path_budget('sumi')}")
     # Hand paths= values win.
     assert resolved_budget("base64") == "smt=120;paths=4;wall=600"
-    # Regions off: the untouched profile spec.
-    assert resolved_budget("sumi", regions=False) == "smt=1500;wall=300"
     # permute_count's ceiling exceeds PATH_COUNT_CAP, so stripping its
     # hand paths= would leave the spec unaugmented rather than capped.
     assert inferred_path_budget("permute_count") > PATH_COUNT_CAP
@@ -204,51 +125,3 @@ def test_suite_profiles_pass_the_lint():
     for name in BENCHMARK_MODULES:
         assert lint_profile_budget(name, bench_profile(name).budget) == [], name
 
-
-# -- guided axiom instantiation ----------------------------------------------
-
-
-def test_guided_instances_cover_region_indices():
-    from repro.smt.quant import guided_instances
-
-    axiom = array_range_axiom("A", "n", 0, 2)
-    instances = guided_instances([axiom], {"A": (0, 1, 2)})
-    assert len(instances) == 3
-    assert guided_instances([axiom], {"B": (0, 1)}) == []
-    assert guided_instances([axiom], {}) == []
-
-
-def test_guided_instances_flip_a_trigger_starved_query():
-    from repro.smt import ARR, INT, SAT, UNSAT, Solver, mk_eq, mk_int, \
-        mk_select, mk_var
-
-    axiom = array_range_axiom("A", "n", 0, 2)
-    query = [mk_eq(mk_var("n#0", INT), mk_int(5)),
-             mk_eq(mk_select(mk_var("A#0", ARR), mk_int(1)), mk_int(5))]
-    # With instantiation starved (rounds=0) the axiom never constrains
-    # A[1] and the solver happily assigns it 5.
-    starved = Solver(axioms=[axiom], instantiation_rounds=0)
-    starved.add(*query)
-    assert starved.check() == SAT
-    # The guided instance at index 1 closes the gap.
-    guided = Solver(axioms=[axiom], instantiation_rounds=0,
-                    guided_indices={"A": (1,)})
-    guided.add(*query)
-    assert guided.check() == UNSAT
-
-
-def test_guided_instances_are_noops_when_triggers_already_fired():
-    from repro.smt import ARR, INT, Solver, mk_eq, mk_int, mk_select, mk_var
-
-    axiom = array_range_axiom("A", "n", 0, 2)
-    query = [mk_eq(mk_var("n#0", INT), mk_int(5)),
-             mk_eq(mk_select(mk_var("A#0", ARR), mk_int(1)), mk_int(5))]
-    plain = Solver(axioms=[axiom])
-    plain.add(*query)
-    guided = Solver(axioms=[axiom], guided_indices={"A": (1,)})
-    guided.add(*query)
-    # The trigger already instantiated at index 1; the guided instance
-    # is a hash-consed duplicate and must be dropped, keeping the
-    # preprocessed formula list byte-identical.
-    assert [t.id for t in plain._preprocess()] == \
-        [t.id for t in guided._preprocess()]

@@ -1,8 +1,8 @@
 """Golden smoke anchor: lu_decomp's full-suite bench record, pinned.
 
-lu_decomp is the suite's canary for the guided-axiom/region machinery:
-at the full-suite config it deterministically explores 5 paths, exhausts
-the ``paths=12`` budget dimension's search frontier with status
+lu_decomp is the suite's canary for the extern-axiom machinery: at the
+full-suite config it deterministically explores 5 paths, exhausts the
+``paths=12`` budget dimension's search frontier with status
 ``paths_exhausted``, finds exactly 2 real inverses, and issues exactly
 468 SMT queries.  Those numbers are the recorded ``full-suite`` row in
 ``BENCH_pins.json``; this test pins them so a trajectory change — even
@@ -30,7 +30,7 @@ EXPECTED_PATHS = 5
 EXPECTED_BUDGET = "smt=1000;paths=12;wall=300"
 
 _ANALYSIS_VARS = ("REPRO_STATIC_PRUNING", "REPRO_ABSINT", "REPRO_FWDBWD",
-                  "REPRO_REGIONS", "REPRO_INCREMENTAL")
+                  "REPRO_INCREMENTAL")
 
 
 def _default_analysis_stack() -> bool:

@@ -1,5 +1,5 @@
-"""Differential tests: the forward-backward unknowns analysis and the
-linear checker screen must not change results, only avoid SMT work.
+"""Differential tests: the forward-backward linear checker screen must
+not change results, only avoid SMT work.
 
 Mirrors ``test_absint_differential.py`` for the fwdbwd layer
 (DESIGN.md §13): same seed, both runs must stabilize, and the
@@ -41,7 +41,3 @@ def test_fwdbwd_differential(name, kwargs):
     assert on.stats.checker_smt_checks < off.stats.checker_smt_checks, (
         f"{name}: screen saved no checker SMT work "
         f"({on.stats.checker_smt_checks} vs {off.stats.checker_smt_checks})")
-    # The static pass never refutes anything on the permissive real
-    # templates, so the CDCL trajectory is identical by construction.
-    assert on.stats.fwdbwd_units_refuted == 0, name
-    assert on.stats.fwdbwd_pairs_refuted == 0, name

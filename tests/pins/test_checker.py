@@ -22,7 +22,7 @@ def path_for(expr_text):
 
 
 def checker():
-    return ConstraintChecker(SORTS, input_vars={"n": ast.Sort.INT})
+    return ConstraintChecker(SORTS)
 
 
 def test_correct_inverse_holds():

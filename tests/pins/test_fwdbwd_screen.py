@@ -32,7 +32,7 @@ def contradictory_path():
 def checker(**kw):
     kw.setdefault("fwdbwd", True)
     kw.setdefault("absint", False)
-    return ConstraintChecker(SORTS, input_vars={"n": ast.Sort.INT}, **kw)
+    return ConstraintChecker(SORTS, **kw)
 
 
 def test_screen_holds_vacuously_and_primes_sat_cache():
@@ -91,21 +91,9 @@ def test_check_routes_through_screen_when_enabled():
     assert off.stats.smt_checks > 0
 
 
-def test_infeasible_score_consults_fwdbwd_report():
-    refuted_expr = parse_expr("0 - y")
-
-    class FakeReport:
-        def allows(self, solution):
-            return dict(solution.exprs).get("e1") != refuted_expr
-
+def test_infeasible_score_counts_infeasible_paths():
     chk = checker()
-    chk.fwdbwd_report = FakeReport()
     explored = [contradictory_path(), contradictory_path()]
-    refuted = Solution(exprs=(("e1", parse_expr("0 - y")),), preds=())
-    allowed = Solution(exprs=(("e1", parse_expr("y - 1")),), preds=())
-    # A statically refuted solution gets the maximal score without any
-    # feasibility probes; an allowed one is scored the normal way.
-    assert infeasible_score(refuted, explored, chk) == len(explored)
-    assert chk.stats.smt_checks == 0
-    score = infeasible_score(allowed, explored, chk)
+    solution = Solution(exprs=(("e1", parse_expr("y - 1")),), preds=())
+    score = infeasible_score(solution, explored, chk)
     assert score == 2  # both contradictory paths are infeasible under it

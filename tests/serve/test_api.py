@@ -32,6 +32,9 @@ def test_request_validation_rejects_garbage():
     with pytest.raises(BadRequest):
         JobRequest.from_payload({"program": "sumi",
                                  "config": {"query_cache": "/tmp/x"}})
+    with pytest.raises(BadRequest):
+        JobRequest.from_payload({"program": "sumi",
+                                 "config": {"regions": False}})
 
 
 def test_request_validation_accepts_known_config_keys():
